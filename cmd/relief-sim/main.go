@@ -20,77 +20,53 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"relief/internal/ckpt"
 	"relief/internal/exp"
-	"relief/internal/fault"
 	"relief/internal/metrics"
-	"relief/internal/predict"
+	"relief/internal/serve"
 	"relief/internal/sim"
 	"relief/internal/trace"
-	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 func main() {
-	mix := flag.String("mix", "CGL", "application mix, e.g. C, CD, CGL (C=canny D=deblur G=gru H=harris L=lstm)")
-	policy := flag.String("policy", "RELIEF", "scheduling policy (FCFS, GEDF-D, GEDF-N, LL, LAX, HetSched, RELIEF, RELIEF-LAX)")
-	topo := flag.String("topology", "bus", "interconnect topology: bus or xbar")
-	bw := flag.String("bw", "max", "bandwidth predictor: max, last, average, ewma")
-	dm := flag.Bool("predict-dm", false, "use the graph-analysis data-movement predictor")
-	continuous := flag.Bool("continuous", false, "run applications in a loop until the 50ms horizon")
-	noFwd := flag.Bool("no-forwarding", false, "disable forwarding hardware")
+	// The scenario flags fill a /run body (docs/SERVING.md), so both map
+	// onto a scenario through the same Normalize and Scenario.
+	var req serve.Request
+	flag.StringVar(&req.Mix, "mix", "CGL", "application mix, e.g. C, CD, CGL (C=canny D=deblur G=gru H=harris L=lstm)")
+	flag.StringVar(&req.Policy, "policy", "RELIEF", "scheduling policy (FCFS, GEDF-D, GEDF-N, LL, LAX, HetSched, RELIEF, RELIEF-LAX)")
+	flag.StringVar(&req.Topology, "topology", "bus", "interconnect topology: bus or xbar")
+	flag.StringVar(&req.BW, "bw", "max", "bandwidth predictor: max, last, average, ewma")
+	flag.BoolVar(&req.PredictDM, "predict-dm", false, "use the graph-analysis data-movement predictor")
+	flag.BoolVar(&req.Continuous, "continuous", false, "run applications in a loop until the 50ms horizon")
+	flag.BoolVar(&req.NoForwarding, "no-forwarding", false, "disable forwarding hardware")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 	statsOut := flag.String("stats-out", "", "write gem5-style statistics to this file")
-	platformFile := flag.String("platform", "", "JSON platform spec (overrides -topology/-bw/-no-forwarding)")
-	faultRate := flag.Float64("faults", 0, "fault-injection rate in [0,1] (0 = off); see docs/FAULTS.md")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
+	platformFile := flag.String("platform", "", "JSON platform spec (overrides -topology, -bw, -predict-dm and -no-forwarding)")
+	flag.Float64Var(&req.FaultRate, "faults", 0, "fault-injection rate in [0,1] (0 = off); see docs/FAULTS.md")
+	flag.Int64Var(&req.FaultSeed, "fault-seed", 1, "fault-injection PRNG seed")
 	metricsOut := flag.String("metrics", "", "collect telemetry and write <prefix>.csv, <prefix>.json, <prefix>.prom")
 	metricsInterval := flag.Duration("metrics-interval", 0, "probe sampling period in simulated time (0 = 50us default)")
 	period := flag.Duration("period", 0, "periodic release interval in simulated time (0 = off): a fresh instance of each mix app is released every period until -horizon")
-	horizon := flag.Duration("horizon", 0, "periodic/continuous run cutoff in simulated time (0 = 50ms default)")
+	horizon := flag.Duration("horizon", 0, "periodic release cutoff in simulated time (requires -period; 0 = 50ms default)")
 	ckptOut := flag.String("checkpoint", "", "warm the periodic scenario and write a relief-ckpt/1 envelope to this file (requires -period; see docs/CHECKPOINT.md)")
 	warm := flag.Duration("warm", 0, "earliest capture instant for -checkpoint: the snapshot lands at the first quiescent release at or after this")
 	restoreIn := flag.String("restore", "", "resume from a checkpoint envelope instead of a cold start (requires -period and a scenario matching the checkpoint's fork key)")
 	sample := flag.Int("sample", 0, "estimate whole-run statistics from N steady-state sampling windows instead of a full run (requires -period); writes a relief-estimate/1 JSON document to stdout")
 	flag.Parse()
 
-	apps, err := workload.ParseMix(*mix)
-	if err != nil {
+	if *period <= 0 && (*ckptOut != "" || *restoreIn != "" || *sample > 0) {
+		fatal(fmt.Errorf("-checkpoint/-restore/-sample require a periodic workload (-period)"))
+	}
+	req.PeriodMS = float64(*period) / float64(time.Millisecond)
+	req.HorizonMS = float64(*horizon) / float64(time.Millisecond)
+	if err := req.Normalize(); err != nil {
 		fatal(err)
 	}
-	if len(apps) < 1 || len(apps) > 3 {
-		fatal(fmt.Errorf("mix %q has %d applications, want 1-3", *mix, len(apps)))
-	}
-	if *faultRate < 0 || *faultRate > 1 {
-		fatal(fmt.Errorf("fault rate %v outside [0,1]", *faultRate))
-	}
-	sc := exp.Scenario{
-		Mix:               apps,
-		Contention:        workload.Contention(len(apps)),
-		Policy:            *policy,
-		BWPredictor:       *bw,
-		DisableForwarding: *noFwd,
-	}
-	if *faultRate > 0 {
-		sc.Faults = fault.Profile(*faultRate, *faultSeed)
-	}
-	if *continuous {
-		sc.Contention = workload.Continuous
-	}
-	if *dm {
-		sc.DM = predict.DMPredict
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.NewRecorder()
-		sc.Trace = rec
-	}
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
-		sc.Metrics = reg
-		sc.MetricsInterval = sim.Time(metricsInterval.Nanoseconds()) * sim.Nanosecond
+	sc, err := req.Scenario()
+	if err != nil {
+		fatal(err)
 	}
 	if *platformFile != "" {
 		f, err := os.Open(*platformFile)
@@ -104,18 +80,16 @@ func main() {
 		}
 		sc.Platform = spec
 	}
-	switch *topo {
-	case "bus":
-	case "xbar":
-		sc.Topology = xbar.Crossbar
-	default:
-		fatal(fmt.Errorf("unknown topology %q", *topo))
+	var rec *trace.Recorder
+	if *traceOut != "" {
+		rec = trace.NewRecorder()
+		sc.Trace = rec
 	}
-	if *period > 0 {
-		sc.Period = sim.Time(period.Nanoseconds()) * sim.Nanosecond
-		sc.Horizon = sim.Time(horizon.Nanoseconds()) * sim.Nanosecond
-	} else if *ckptOut != "" || *restoreIn != "" || *sample > 0 {
-		fatal(fmt.Errorf("-checkpoint/-restore/-sample require a periodic workload (-period)"))
+	var reg *metrics.Registry
+	if *metricsOut != "" {
+		reg = metrics.NewRegistry()
+		sc.Metrics = reg
+		sc.MetricsInterval = sim.Time(metricsInterval.Nanoseconds()) * sim.Nanosecond
 	}
 
 	ctx := context.Background()
@@ -162,7 +136,6 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		var err error
 		res, err = exp.Run(sc)
 		if err != nil {
 			fatal(err)

@@ -262,3 +262,36 @@ func TestCheckpointRequiresPeriodic(t *testing.T) {
 		t.Error("fork-key mismatch accepted")
 	}
 }
+
+// TestCheckpointRefusesOtherPlatform: the platform is part of the fork key,
+// so a checkpoint warmed on one platform cannot seed a run on another (here
+// the default), which would otherwise resume from state that platform never
+// reached.
+func TestCheckpointRefusesOtherPlatform(t *testing.T) {
+	mix, err := workload.ParseMix("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Scenario{Mix: mix, Contention: workload.Low, Policy: "RELIEF",
+		Period: 10 * sim.Millisecond, Horizon: 60 * sim.Millisecond}
+	slow := plain
+	slow.Platform = &PlatformSpec{BusGBs: 3, DRAMGBs: 2}
+	if ScenarioKey(slow) == ScenarioKey(plain) {
+		t.Error("scenarios differing only in Platform share a key")
+	}
+	ctx := context.Background()
+	env, err := RunToCheckpoint(ctx, slow, 10*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFromCheckpoint(ctx, plain, opened); err == nil || !strings.Contains(err.Error(), "fork key mismatch") {
+		t.Errorf("restore without the platform: err=%v, want a fork key mismatch", err)
+	}
+	if _, err := RunFromCheckpoint(ctx, slow, opened); err != nil {
+		t.Errorf("restore on the checkpoint's own platform: %v", err)
+	}
+}

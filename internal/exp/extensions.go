@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"relief/internal/accel"
 	"relief/internal/design"
 	"relief/internal/graph"
 	"relief/internal/manager"
@@ -172,16 +173,10 @@ func TiledStudy() (*Table, error) {
 func runTiled(mix []workload.App, topo xbar.Topology) (*stats.Stats, float64, error) {
 	k := sim.NewKernel()
 	st := stats.New()
-	cfg := manager.DefaultConfig(mustPolicy("RELIEF"))
-	for kind := range cfg.Instances {
-		cfg.Instances[kind] = 2
+	cfg, err := uniformPlatform(2, topo).Apply(mustPolicy("RELIEF"))
+	if err != nil {
+		return nil, 0, err
 	}
-	total := 0
-	for _, c := range cfg.Instances {
-		total += c
-	}
-	cfg.Interconnect = xbar.DefaultConfig(total)
-	cfg.Interconnect.Topology = topo
 	m := manager.New(k, cfg, st)
 	for _, app := range mix {
 		d, err := workload.BuildTiled(app, 2, 4)
@@ -194,6 +189,16 @@ func runTiled(mix []workload.App, topo xbar.Topology) (*stats.Stats, float64, er
 	}
 	m.Run()
 	return st, m.Interconnect().Occupancy(), nil
+}
+
+// uniformPlatform describes a platform with n instances of every
+// accelerator kind on the given interconnect.
+func uniformPlatform(n int, topo xbar.Topology) *PlatformSpec {
+	spec := &PlatformSpec{Instances: make(map[string]int), Topology: topo.String()}
+	for _, k := range accel.AllKinds() {
+		spec.Instances[k.String()] = n
+	}
+	return spec
 }
 
 func mustPolicy(name string) sched.Policy {
@@ -273,22 +278,12 @@ func ScalingStudy() (*Table, error) {
 			return nil, err
 		}
 		for _, per := range []int{1, 2, 4} {
-			k := sim.NewKernel()
-			st := stats.New()
-			cfg := manager.DefaultConfig(mustPolicy("RELIEF"))
-			total := 0
-			for kind := range cfg.Instances {
-				cfg.Instances[kind] = per
-				total += per
+			res, err := Run(Scenario{Mix: mix, Contention: workload.Contention(len(mix)), Policy: "RELIEF",
+				Platform: uniformPlatform(per, xbar.Bus)})
+			if err != nil {
+				return nil, err
 			}
-			cfg.Interconnect = xbar.DefaultConfig(total)
-			m := manager.New(k, cfg, st)
-			for _, app := range mix {
-				if err := m.Submit(workload.MustBuild(app), 0, nil); err != nil {
-					return nil, err
-				}
-			}
-			m.Run()
+			st := res.Stats
 			fwd, col := st.ForwardsPerEdge()
 			t.AddRow(mixName, f2(st.Makespan.Milliseconds()),
 				fmt.Sprintf("%d", per), f1(fwd), f1(col), f2(st.Occupancy()))

@@ -60,6 +60,9 @@ func LoadPlatform(r io.Reader) (*PlatformSpec, error) {
 }
 
 // Apply folds the spec into a manager configuration built around policy.
+// It is the one place platform knobs become a manager.Config: scenarios
+// without a Platform, the relief facade and the extension studies all
+// describe their platform as a PlatformSpec and call it.
 func (p *PlatformSpec) Apply(policy sched.Policy) (manager.Config, error) {
 	cfg := manager.DefaultConfig(policy)
 	for name, n := range p.Instances {
@@ -105,13 +108,11 @@ func (p *PlatformSpec) Apply(policy sched.Policy) (manager.Config, error) {
 		return cfg, fmt.Errorf("exp: dram_channels requires detailed_dram")
 	}
 	cfg.DRAMChannels = p.DRAMChannels
-	if p.BWPredictor != "" {
-		bw, err := predict.NewBW(p.BWPredictor, cfg.Interconnect.DRAMBandwidth)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.BW = bw
+	bw, err := predict.NewBW(p.BWPredictor, cfg.Interconnect.DRAMBandwidth)
+	if err != nil {
+		return cfg, err
 	}
+	cfg.BW = bw
 	if p.PredictDM {
 		cfg.DM = predict.DMPredict
 	}
@@ -122,11 +123,19 @@ func (p *PlatformSpec) Apply(policy sched.Policy) (manager.Config, error) {
 	if p.SchedPerScanNS > 0 {
 		cfg.SchedPerScan = sim.Time(p.SchedPerScanNS * float64(sim.Nanosecond))
 	}
-	// Recompute interconnect port count after instance overrides.
-	total := 0
-	for _, c := range cfg.Instances {
-		total += c
-	}
-	cfg.Interconnect.Instances = total
 	return cfg, nil
+}
+
+// appendKey appends the spec's canonical encoding (see ScenarioKey): its
+// JSON, in which encoding/json fixes the field order, sorts the instance
+// names, and omits zero fields, so the bytes round-trip through
+// LoadPlatform.
+func (p *PlatformSpec) appendKey(b []byte) []byte {
+	j, err := json.Marshal(p)
+	if err != nil {
+		// Only non-finite floats fail to marshal, and no JSON input can
+		// carry them; the Go syntax still tells such specs apart.
+		return fmt.Appendf(b, "%#v", *p)
+	}
+	return append(b, j...)
 }

@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"relief/internal/accel"
 	"relief/internal/dram"
+	"relief/internal/manager"
 	"relief/internal/mem"
+	"relief/internal/sim"
+	"relief/internal/stats"
 	"relief/internal/workload"
 	"relief/internal/xbar"
 )
@@ -50,9 +54,14 @@ func TestLoadPlatform(t *testing.T) {
 	if cfg.BW.Name() != "Average" {
 		t.Error("predictor not applied")
 	}
-	// Port count follows the instance total (3 EM + 6 others).
-	if cfg.Interconnect.Instances != 9 {
-		t.Errorf("interconnect ports = %d, want 9", cfg.Interconnect.Instances)
+	// The manager sizes the crossbar to the instance total (3 EM + 6
+	// others): the last instance has a port.
+	m := manager.New(sim.NewKernel(), cfg, stats.New())
+	if n := len(m.Instances()); n != 9 {
+		t.Fatalf("instances = %d, want 9", n)
+	}
+	if p := m.Interconnect().Path(8, xbar.EndpointDRAM); len(p) != 2 {
+		t.Errorf("path from the last instance = %v", p)
 	}
 }
 
@@ -101,4 +110,25 @@ func TestPlatformScenarioRuns(t *testing.T) {
 		t.Errorf("2 EM instances (%v) not faster than 1 (%v)",
 			res.Stats.Makespan, base.Stats.Makespan)
 	}
+}
+
+// FuzzPlatform feeds arbitrary platform JSON through LoadPlatform and Apply,
+// which must never panic, and checks that the spec's canonical key JSON
+// loads back to the same key. Seeds are under testdata/fuzz/FuzzPlatform.
+func FuzzPlatform(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := LoadPlatform(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, _ = spec.Apply(mustPolicy("RELIEF")) // only a panic fails
+		key := spec.appendKey(nil)
+		again, err := LoadPlatform(bytes.NewReader(key))
+		if err != nil {
+			t.Fatalf("canonical key %s does not load: %v", key, err)
+		}
+		if k := again.appendKey(nil); !bytes.Equal(k, key) {
+			t.Fatalf("canonical key changed on reload:\n  %s\n  %s", key, k)
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"relief/internal/core"
-	"relief/internal/dram"
 	"relief/internal/fault"
 	"relief/internal/graph"
 	"relief/internal/manager"
@@ -157,31 +156,25 @@ func (sc *Scenario) managerConfig() (manager.Config, error) {
 	if err != nil {
 		return manager.Config{}, err
 	}
-	var cfg manager.Config
-	if sc.Platform != nil {
-		cfg, err = sc.Platform.Apply(policy)
-		if err != nil {
-			return manager.Config{}, err
+	spec := sc.Platform
+	if spec == nil {
+		spec = &PlatformSpec{
+			Topology:          sc.Topology.String(),
+			BWPredictor:       sc.BWPredictor,
+			PredictDM:         sc.DM == predict.DMPredict,
+			DisableForwarding: sc.DisableForwarding,
+			OutputPartitions:  sc.OutputPartitions,
+			DetailedDRAM:      sc.DetailedDRAM,
 		}
-	} else {
-		cfg = manager.DefaultConfig(policy)
-		cfg.Interconnect.Topology = sc.Topology
-		cfg.DM = sc.DM
-		cfg.DisableForwarding = sc.DisableForwarding
-		cfg.AlwaysWriteBack = sc.AlwaysWriteBack
-		if sc.OutputPartitions > 0 {
-			cfg.OutputPartitions = sc.OutputPartitions
-		}
-		cfg.DetailedDRAM = sc.DetailedDRAM
 		if sc.DRAMFCFS {
-			cfg.DRAMPolicy = dram.FCFS
+			spec.DRAMPolicy = "fcfs"
 		}
-		bw, err := predict.NewBW(sc.BWPredictor, cfg.Interconnect.DRAMBandwidth)
-		if err != nil {
-			return manager.Config{}, err
-		}
-		cfg.BW = bw
 	}
+	cfg, err := spec.Apply(policy)
+	if err != nil {
+		return manager.Config{}, err
+	}
+	cfg.AlwaysWriteBack = sc.AlwaysWriteBack
 	cfg.Fault = sc.Faults
 	cfg.Trace = sc.Trace
 	cfg.Metrics = sc.Metrics

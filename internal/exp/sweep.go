@@ -33,10 +33,13 @@ func (s *Sweep) key(sc Scenario) string { return ScenarioKey(sc) }
 // ScenarioKey renders the scenario's canonical content key: an explicit,
 // delimiter-separated field encoding (no reflective %v formatting). Fields
 // cannot collide because each is length-delimited by a terminator that
-// cannot appear inside it, and adding a field extends the tail. Trace and
-// Metrics are deliberately excluded: observers don't change simulation
-// results, and observer-bearing scenarios should call Run directly rather
-// than share cached results.
+// cannot appear inside it, and adding a field extends the tail. A Platform
+// appends its canonical JSON as a last field, so scenarios without one keep
+// their bytes. Trace, Metrics and MetricsInterval are deliberately
+// excluded: observers don't change simulation results, and
+// observer-bearing scenarios should call Run directly rather than share
+// cached results. Every other field must change the key (a test enforces
+// this).
 //
 // This single encoding backs both the Sweep memoization key and the
 // serving layer's content digests (internal/serve hashes it), so the two
@@ -72,6 +75,10 @@ func AppendScenarioKey(b []byte, sc Scenario) []byte {
 	b = strconv.AppendInt(b, int64(sc.Period), 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(sc.Horizon), 10)
+	if sc.Platform != nil {
+		b = append(b, '|')
+		b = sc.Platform.appendKey(b)
+	}
 	return b
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -175,6 +176,7 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 		`{"mix":"C","policy":"BOGUS"}`, // unknown policy
 		`{"mix":"C","topology":"mesh"}`,
 		`{"mix":"C","bw":"oracle"}`,
+		`{"mix":"C","bw":"avg"}`, // a predict.NewBW alias, not a request spelling
 		`{"mix":"C","fault_rate":1.5}`,
 		`{"mix":"C","fault_rate":-0.1}`,
 		`{"mix":"C","timeout_ms":-1}`,
@@ -215,4 +217,47 @@ func TestLRUCache(t *testing.T) {
 	if got, _ := c.get("a"); got != rb || c.len() != 2 {
 		t.Error("in-place update failed")
 	}
+}
+
+// FuzzRequest feeds pairs of /run bodies through the handler's decode,
+// Normalize and Digest. Nothing may panic, Normalize must be idempotent, and
+// two valid requests must share a digest exactly when they share a scenario
+// key and metrics bit. Seeds are under testdata/fuzz/FuzzRequest.
+func FuzzRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ra, ka, okA := fuzzNormalize(t, a)
+		rb, kb, okB := fuzzNormalize(t, b)
+		if !okA || !okB {
+			return
+		}
+		same := ka == kb && ra.Metrics == rb.Metrics
+		if (ra.Digest() == rb.Digest()) != same {
+			t.Fatalf("digest equality disagrees with (key, metrics) equality %v:\n  %+v\n  %+v", same, ra, rb)
+		}
+	})
+}
+
+// fuzzNormalize decodes data as the /run handler does and normalizes it,
+// returning the request and its scenario key, or false if it is rejected.
+func fuzzNormalize(t *testing.T, data []byte) (Request, string, bool) {
+	t.Helper()
+	var r Request
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return r, "", false
+	}
+	if err := r.Normalize(); err != nil {
+		_ = r.Digest() // only a panic fails
+		return r, "", false
+	}
+	again := r
+	if err := again.Normalize(); err != nil || again != r {
+		t.Fatalf("Normalize is not idempotent: %+v -> %+v (%v)", r, again, err)
+	}
+	sc, err := r.Scenario()
+	if err != nil {
+		t.Fatalf("normalized request %+v has no scenario: %v", r, err)
+	}
+	return r, exp.ScenarioKey(sc), true
 }

@@ -353,6 +353,9 @@ func TestServedTextMatchesCLI(t *testing.T) {
 			`{"mix":"CDH","policy":"LAX","topology":"xbar"}`},
 		{[]string{"-mix", "GL", "-policy", "RELIEF", "-faults", "0.01"},
 			`{"mix":"GL","fault_rate":0.01}`},
+		// Pins the shared Duration -> milliseconds -> sim.Time conversion.
+		{[]string{"-mix", "CGL", "-period", "333us", "-horizon", "2ms", "-bw", "ewma"},
+			`{"mix":"CGL","period_ms":0.333,"horizon_ms":2,"bw":"ewma"}`},
 	} {
 		cli, err := exec.Command(bin, tc.args...).Output()
 		if err != nil {

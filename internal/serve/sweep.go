@@ -100,25 +100,15 @@ func (sp SweepSpec) expand() ([]sweepCell, error) {
 	}
 	var mixes []mixPoint
 	for _, lvl := range sp.Contention {
-		var c workload.Contention
-		switch strings.ToLower(lvl) {
-		case "low":
-			c = workload.Low
-		case "medium":
-			c = workload.Medium
-		case "high":
-			c = workload.High
-		case "continuous":
-			c = workload.Continuous
-		default:
+		c := workload.Low
+		for c <= workload.Continuous && !strings.EqualFold(lvl, c.String()) {
+			c++
+		}
+		if c > workload.Continuous {
 			return nil, fmt.Errorf("serve: unknown contention level %q (want low, medium, high, or continuous)", lvl)
 		}
 		for _, mix := range workload.Mixes(c) {
-			var sym strings.Builder
-			for _, a := range mix {
-				sym.WriteString(a.Sym())
-			}
-			mixes = append(mixes, mixPoint{mix: sym.String(), continuous: c == workload.Continuous})
+			mixes = append(mixes, mixPoint{mix: exp.MixLabel(mix), continuous: c == workload.Continuous})
 		}
 	}
 	for _, m := range sp.Mixes {

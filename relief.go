@@ -30,17 +30,16 @@ import (
 	"relief/internal/accel"
 	"relief/internal/ckpt"
 	"relief/internal/core"
+	"relief/internal/exp"
 	"relief/internal/fault"
 	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/metrics"
-	"relief/internal/predict"
 	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/trace"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // Time is a simulation timestamp or duration in picoseconds.
@@ -116,28 +115,10 @@ func NewRELIEF() Policy    { return core.New() }
 func NewRELIEFLAX() Policy { return core.NewLAX() }
 
 // PolicyByName constructs a policy from its paper name: "FCFS", "GEDF-D",
-// "GEDF-N", "LL", "LAX", "HetSched", "RELIEF", or "RELIEF-LAX".
-func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "FCFS":
-		return sched.FCFS{}, nil
-	case "GEDF-D":
-		return sched.GEDFD{}, nil
-	case "GEDF-N":
-		return sched.GEDFN{}, nil
-	case "LL":
-		return sched.LL{}, nil
-	case "LAX":
-		return sched.LAX{}, nil
-	case "HetSched":
-		return sched.HetSched{}, nil
-	case "RELIEF":
-		return core.New(), nil
-	case "RELIEF-LAX":
-		return core.NewLAX(), nil
-	}
-	return nil, fmt.Errorf("relief: unknown policy %q", name)
-}
+// "GEDF-N", "LL", "LAX", "HetSched", "RELIEF", "RELIEF-LAX", or one of the
+// ablation variants "RELIEF-NoFeas", "RELIEF-Unbounded" and
+// "RELIEF-HetSched".
+func PolicyByName(name string) (Policy, error) { return exp.NewPolicy(name) }
 
 // NewDAG starts an empty application DAG with the given name, single-letter
 // symbol, and relative deadline. Add nodes with DAG.AddNode, then the
@@ -313,29 +294,25 @@ func buildConfig(cfg Config, opts []Option) (manager.Config, error) {
 		}
 		policy = p
 	}
-	mcfg := manager.DefaultConfig(policy)
+	spec := exp.PlatformSpec{
+		Instances:         make(map[string]int),
+		OutputPartitions:  cfg.OutputPartitions,
+		BWPredictor:       cfg.BandwidthPredictor,
+		PredictDM:         cfg.PredictDataMovement,
+		DisableForwarding: cfg.DisableForwarding,
+	}
 	if cfg.Crossbar {
-		mcfg.Interconnect.Topology = xbar.Crossbar
+		spec.Topology = "xbar"
 	}
 	for k, n := range cfg.Instances {
 		if k < accel.NumKinds && n > 0 {
-			mcfg.Instances[k] = n
+			spec.Instances[k.String()] = n
 		}
 	}
-	if cfg.OutputPartitions > 0 {
-		mcfg.OutputPartitions = cfg.OutputPartitions
+	mcfg, err := spec.Apply(policy)
+	if err != nil {
+		return manager.Config{}, err
 	}
-	if cfg.BandwidthPredictor != "" {
-		bw, err := predict.NewBW(cfg.BandwidthPredictor, mcfg.Interconnect.DRAMBandwidth)
-		if err != nil {
-			return manager.Config{}, err
-		}
-		mcfg.BW = bw
-	}
-	if cfg.PredictDataMovement {
-		mcfg.DM = predict.DMPredict
-	}
-	mcfg.DisableForwarding = cfg.DisableForwarding
 	mcfg.Trace = cfg.Trace
 	for _, o := range opts {
 		if o.apply != nil {

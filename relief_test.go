@@ -32,6 +32,12 @@ func TestPolicyByName(t *testing.T) {
 			t.Errorf("PolicyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
+	// The ablation variants are RELIEF configurations named by their study.
+	for _, name := range []string{"RELIEF-NoFeas", "RELIEF-Unbounded", "RELIEF-HetSched"} {
+		if _, err := relief.PolicyByName(name); err != nil {
+			t.Errorf("PolicyByName(%q): %v", name, err)
+		}
+	}
 	if _, err := relief.PolicyByName("bogus"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}

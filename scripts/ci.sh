@@ -57,6 +57,13 @@ fi
 echo "== test"
 go test ./...
 
+echo "== fuzz smoke"
+# Short native-fuzzing runs over the shared input boundaries: /run bodies
+# (which relief-sim's flags also fill) through Request.Normalize and Digest,
+# and platform JSON through LoadPlatform, Apply and the scenario key.
+go test -run '^$' -fuzz '^FuzzRequest$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzPlatform$' -fuzztime 10s ./internal/exp
+
 echo "== race"
 # The serving, tracing, and sweep-client packages run their FULL test
 # suites under the race detector: they are the concurrent surface the
@@ -99,6 +106,19 @@ if "$tmp/relief-sim" -mix CG -period 5ms -horizon 40ms -restore "$tmp/tampered.c
 	exit 1
 fi
 grep -q 'checksum' "$tmp/tamper.err"
+# The platform is part of the fork key: a checkpoint warmed under -platform
+# forks byte-identically under the same spec, and a restore without it must
+# be refused rather than resume from state the default platform never saw.
+echo '{"bus_gbs":3,"dram_gbs":2}' >"$tmp/plat.json"
+"$tmp/relief-sim" -mix C -period 10ms -horizon 60ms -warm 10ms -platform "$tmp/plat.json" -checkpoint "$tmp/plat.ckpt" >/dev/null
+"$tmp/relief-sim" -mix C -period 10ms -horizon 60ms -platform "$tmp/plat.json" -restore "$tmp/plat.ckpt" >"$tmp/plat_fork.txt"
+"$tmp/relief-sim" -mix C -period 10ms -horizon 60ms -platform "$tmp/plat.json" >"$tmp/plat_cold.txt"
+cmp "$tmp/plat_fork.txt" "$tmp/plat_cold.txt"
+if "$tmp/relief-sim" -mix C -period 10ms -horizon 60ms -restore "$tmp/plat.ckpt" >/dev/null 2>"$tmp/plat.err"; then
+	echo "platform checkpoint restored without its platform" >&2
+	exit 1
+fi
+grep -q 'fork key mismatch' "$tmp/plat.err"
 "$tmp/relief-sim" -mix CG -period 5ms -horizon 100ms -sample 4 >"$tmp/estimate.json"
 grep -q '"schema": "relief-estimate/1"' "$tmp/estimate.json"
 grep -q '"sampled": true' "$tmp/estimate.json"
