@@ -33,10 +33,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# One-iteration smoke of the hot-path benchmark; keeps CI honest about
-# simulator throughput without the full sweep's cost.
+# One-iteration smoke of the hot-path benchmarks (the main grid's Fig. 4
+# and one continuous-contention run); keeps CI honest about simulator
+# throughput and allocations without the full sweep's cost.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig4$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4$$|BenchmarkScenarioContinuous$$' -benchtime=1x -benchmem .
 
 # Dated benchmark report at the repo root: the full experiment trajectory
 # plus distributed sweep throughput (POST /sweep against in-process fleets

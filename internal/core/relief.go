@@ -9,8 +9,7 @@
 package core
 
 import (
-	"sort"
-
+	"relief/internal/accel"
 	"relief/internal/graph"
 	"relief/internal/sched"
 	"relief/internal/sim"
@@ -89,29 +88,35 @@ func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle fun
 	if len(ready) == 0 {
 		return 0, nil
 	}
-	// fwd_nodes: per-kind laxity-sorted candidate lists (Alg. 1 lines 2-8).
-	fwd := make(map[int][]*graph.Node)
+	// fwd_nodes: per-kind laxity-sorted candidate lists (Alg. 1 lines 2-8),
+	// laid end to end in kind order in one stack buffer. Each candidate goes
+	// after every candidate of a lower kind and every same-kind candidate
+	// of equal or lower laxity; scanned counts the latter.
+	var buf [2 * accel.NumKinds]*graph.Node
+	fwd := buf[:0]
 	for _, n := range ready {
-		k := int(n.Kind)
-		lst := fwd[k]
-		pos := sort.Search(len(lst), func(i int) bool { return n.Laxity < lst[i].Laxity })
-		lst = append(lst, nil)
-		copy(lst[pos+1:], lst[pos:])
-		lst[pos] = n
-		fwd[k] = lst
-		scanned += pos
+		pos := len(fwd)
+		for pos > 0 && (fwd[pos-1].Kind > n.Kind || fwd[pos-1].Kind == n.Kind && n.Laxity < fwd[pos-1].Laxity) {
+			pos--
+		}
+		lo := pos
+		for lo > 0 && fwd[lo-1].Kind == n.Kind {
+			lo--
+		}
+		scanned += pos - lo
+		fwd = append(fwd, nil)
+		copy(fwd[pos+1:], fwd[pos:])
+		fwd[pos] = n
 	}
 	base := r.base()
-	// Iterate kinds in sorted order: map order is randomized, and the
-	// escalated list (and any future order-sensitive consumer of it) must
-	// not depend on it.
-	kinds := make([]int, 0, len(fwd))
-	for k := range fwd {
-		kinds = append(kinds, k)
-	}
-	sort.Ints(kinds)
-	for _, k := range kinds {
-		lst := fwd[k]
+	for len(fwd) > 0 {
+		k := int(fwd[0].Kind)
+		end := 1
+		for end < len(fwd) && int(fwd[end].Kind) == k {
+			end++
+		}
+		lst := fwd[:end]
+		fwd = fwd[end:]
 		maxForwards := idle(k)
 		q := queues[k]
 		for _, node := range lst {
@@ -149,6 +154,8 @@ func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle fun
 // without the promotion. When the escalation is allowed, the bypassed
 // entries' stored laxity is charged with fnode's runtime so subsequent
 // escalations see the already-consumed slack (Alg. 2 lines 10-14).
+//
+//relief:hotpath
 func (r *RELIEF) feasible(q []*graph.Node, fnode *graph.Node, index int, now sim.Time) (bool, int) {
 	if r.DisableFeasibility {
 		return true, 0

@@ -5,7 +5,6 @@ import (
 
 	"relief/internal/accel"
 	"relief/internal/design"
-	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/sched"
 	"relief/internal/sim"
@@ -126,8 +125,7 @@ func runPeriodic(policyName string, mix []workload.App) (*stats.Stats, error) {
 	st := stats.New()
 	m := manager.New(k, manager.DefaultConfig(policy), st)
 	for _, app := range mix {
-		app := app
-		if err := m.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(app) },
+		if err := m.SubmitPeriodic(workload.MustBuild(app).Clone,
 			app.Deadline(), workload.ContinuousHorizon); err != nil {
 			return nil, err
 		}

@@ -135,11 +135,16 @@ func Run(sc Scenario) (*Result, error) {
 // an abandoned run never leaks partial statistics. This is the entry point
 // the serving layer (internal/serve) drives.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
+	return runOn(ctx, sim.NewKernel(), sc)
+}
+
+// runOn is RunContext on a fresh kernel supplied by the caller, so tests
+// can set per-simulation engine switches (mem.SetClaims) before the run.
+func runOn(ctx context.Context, k *sim.Kernel, sc Scenario) (*Result, error) {
 	cfg, err := sc.managerConfig()
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
 	st := stats.New()
 	m := manager.New(k, cfg, st)
 	if err := submitMix(m, sc); err != nil {
@@ -185,15 +190,15 @@ func (sc *Scenario) managerConfig() (manager.Config, error) {
 // submitMix registers the scenario's workload schedule with the manager: the
 // periodic release grid when Period is set, otherwise one release of each
 // mix application at t=0 (with continuous-contention rebuild closures when
-// the scenario asks for them). A restored manager skips everything that
-// completed before its capture instant.
+// the scenario asks for them). Every repeated release is a clone of one
+// per-run template of its application. A restored manager skips everything
+// that completed before its capture instant.
 func submitMix(m *manager.Manager, sc Scenario) error {
 	if sc.Period > 0 {
 		horizon := sc.EffectiveHorizon()
 		for _, app := range sc.Mix {
-			app := app
-			build := func() *graph.DAG { return workload.MustBuild(app) }
-			if err := m.SubmitPeriodic(build, sc.Period, horizon); err != nil {
+			tmpl := workload.MustBuild(app)
+			if err := m.SubmitPeriodic(tmpl.Clone, sc.Period, horizon); err != nil {
 				return err
 			}
 		}
@@ -201,12 +206,12 @@ func submitMix(m *manager.Manager, sc Scenario) error {
 	}
 	continuous := sc.Contention == workload.Continuous
 	for _, app := range sc.Mix {
-		app := app
-		var rebuild func() *graph.DAG
+		tmpl := workload.MustBuild(app)
+		d, rebuild := tmpl, (func() *graph.DAG)(nil)
 		if continuous {
-			rebuild = func() *graph.DAG { return workload.MustBuild(app) }
+			d, rebuild = tmpl.Clone(), tmpl.Clone
 		}
-		if err := m.Submit(workload.MustBuild(app), 0, rebuild); err != nil {
+		if err := m.Submit(d, 0, rebuild); err != nil {
 			return err
 		}
 	}

@@ -27,6 +27,7 @@ const (
 // It mirrors the paper's node structure (Table III) plus the scheduling
 // state the hardware manager maintains at run time.
 type Node struct {
+	// ID is the node's index in its DAG's Nodes.
 	ID   int
 	Name string
 	Kind accel.Kind
@@ -119,6 +120,10 @@ type DAG struct {
 	Aborted     bool
 	AbortReason string
 
+	// Slot indexes the DAG's node-state slab in the manager running it
+	// (assigned and owned by the manager).
+	Slot int
+
 	doneCount int
 }
 
@@ -149,6 +154,54 @@ func (d *DAG) AddNode(name string, kind accel.Kind, op accel.Op, outputBytes int
 	}
 	d.Nodes = append(d.Nodes, n)
 	return n
+}
+
+// Clone returns a fresh, unreleased instance of the DAG: same identity,
+// deadline, nodes and edges, with every run-time field zero. Node IDs must
+// be indices into d.Nodes, as AddNode assigns them. Clone is how a
+// per-run template is re-instantiated under continuous or periodic release
+// without rebuilding the application. The copy takes four allocations: one
+// node slab, its pointer table, one backing array carved into every node's
+// Parents and Children, and the DAG. EdgeInBytes is shared with d and must
+// be treated as immutable by both.
+func (d *DAG) Clone() *DAG {
+	c := &DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline}
+	slab := make([]Node, len(d.Nodes))
+	c.Nodes = make([]*Node, len(d.Nodes))
+	links := make([]*Node, 2*d.NumEdges())
+	for i, src := range d.Nodes {
+		n := &slab[i]
+		n.ID = src.ID
+		n.Name = src.Name
+		n.Kind = src.Kind
+		n.Op = src.Op
+		n.FilterSize = src.FilterSize
+		n.Pixels = src.Pixels
+		n.EdgeInBytes = src.EdgeInBytes
+		n.ExtraInputBytes = src.ExtraInputBytes
+		n.OutputBytes = src.OutputBytes
+		n.Compute = src.Compute
+		n.RelDeadline = src.RelDeadline
+		n.DAG = c
+		c.Nodes[i] = n
+	}
+	carve := func(of []*Node) []*Node {
+		if len(of) == 0 {
+			return nil
+		}
+		out := links[:len(of):len(of)]
+		links = links[len(of):]
+		for j, x := range of {
+			out[j] = c.Nodes[x.ID]
+		}
+		return out
+	}
+	for i, src := range d.Nodes {
+		n := c.Nodes[i]
+		n.Parents = carve(src.Parents)
+		n.Children = carve(src.Children)
+	}
+	return c
 }
 
 // Roots returns the nodes with no parents.
@@ -201,23 +254,21 @@ func (d *DAG) Finalize() error {
 // TopoOrder returns the nodes in a dependency-respecting order, or an error
 // if the graph has a cycle.
 func (d *DAG) TopoOrder() ([]*Node, error) {
+	// Kahn's algorithm, with order doubling as the FIFO work queue: the
+	// nodes before i are emitted, the ones from i on are queued.
 	indeg := make(map[*Node]int, len(d.Nodes))
-	var queue []*Node
+	order := make([]*Node, 0, len(d.Nodes))
 	for _, n := range d.Nodes {
 		indeg[n] = len(n.Parents)
 		if len(n.Parents) == 0 {
-			queue = append(queue, n)
+			order = append(order, n)
 		}
 	}
-	order := make([]*Node, 0, len(d.Nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, c := range n.Children {
+	for i := 0; i < len(order); i++ {
+		for _, c := range order[i].Children {
 			indeg[c]--
 			if indeg[c] == 0 {
-				queue = append(queue, c)
+				order = append(order, c)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ type Manager struct {
 	qptrs    sched.Queues
 	insts    []*Instance
 	byKind   [accel.NumKinds][]*Instance
-	ns       map[*graph.Node]*nodeState
+	slabs    []slab   // per-node state, one slab per DAG (see state)
 	freeAt   sim.Time // manager CPU busy-until
 	rebuild  map[string]func() *graph.DAG
 	horizon  sim.Time // continuous-contention cutoff (0 = run to completion)
@@ -164,6 +164,16 @@ type Manager struct {
 	metSchedCost *metrics.Histogram
 	metDMAXfer   *metrics.Histogram
 	metDMAStall  *metrics.Histogram
+}
+
+// slab is the dense manager-side state of one DAG's nodes, indexed by
+// Node.ID. The DAG finds its slab through DAG.Slot, which the manager
+// assigns on first use. Slabs live as long as the manager: scratchpad
+// residents (OutBuf.Node, Instance.LastNode) may belong to finished DAGs,
+// and their state is still consulted.
+type slab struct {
+	dag *graph.DAG
+	ns  []nodeState
 }
 
 // nodeState is per-node forwarding bookkeeping (paper Table III/IV fields).
@@ -261,7 +271,6 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 		ic:       xbar.New(k, cfg.Interconnect),
 		st:       st,
 		policy:   cfg.Policy,
-		ns:       make(map[*graph.Node]*nodeState),
 		rebuild:  make(map[string]func() *graph.DAG),
 		resumeAt: resumeAt,
 	}
@@ -319,14 +328,25 @@ func (m *Manager) DRAMController() *dram.Controller { return m.dram }
 // compute prediction baselines).
 func (m *Manager) Predictor() *predict.Runtime { return m.pred }
 
-// state returns (creating if needed) the manager-side state for a node.
+// state returns the manager-side state for a node, creating its DAG's slab
+// on the DAG's first use. A node with no recorded activity reads as the
+// zero state with no output partition.
 func (m *Manager) state(n *graph.Node) *nodeState {
-	s, ok := m.ns[n]
-	if !ok {
-		s = &nodeState{part: -1}
-		m.ns[n] = s
+	d := n.DAG
+	if d.Slot >= len(m.slabs) || m.slabs[d.Slot].dag != d {
+		m.addSlab(d)
 	}
-	return s
+	return &m.slabs[d.Slot].ns[n.ID]
+}
+
+// addSlab assigns d a slot and a fresh slab of node states.
+func (m *Manager) addSlab(d *graph.DAG) {
+	ns := make([]nodeState, len(d.Nodes))
+	for i := range ns {
+		ns[i].part = -1
+	}
+	d.Slot = len(m.slabs)
+	m.slabs = append(m.slabs, slab{dag: d, ns: ns})
 }
 
 // idleCount reports the number of idle (and live) instances of a kind.
@@ -529,9 +549,7 @@ func (m *Manager) pickInstance(kind int, n *graph.Node) *Instance {
 	var fallback, avoided *Instance
 	var avoid *Instance
 	if m.inj != nil {
-		if ns, ok := m.ns[n]; ok {
-			avoid = ns.avoid
-		}
+		avoid = m.state(n).avoid
 	}
 	for _, inst := range m.byKind[kind] {
 		if inst.Busy || inst.Health == accel.Dead {
@@ -562,8 +580,8 @@ func (m *Manager) pickInstance(kind int, n *graph.Node) *Instance {
 // outputLive reports whether a node's output still resides in a scratchpad
 // partition.
 func (m *Manager) outputLive(n *graph.Node) bool {
-	s, ok := m.ns[n]
-	if !ok || s.inst == nil || s.part < 0 {
+	s := m.state(n)
+	if s.inst == nil || s.part < 0 {
 		return false
 	}
 	return s.inst.Parts[s.part].Node == n

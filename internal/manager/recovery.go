@@ -277,10 +277,7 @@ func (m *Manager) abortDAG(d *graph.DAG, reason string) {
 		m.queues[kind] = q
 	}
 	for _, n := range d.Nodes {
-		ns, ok := m.ns[n]
-		if !ok {
-			continue
-		}
+		ns := m.state(n)
 		m.disarmWatchdog(ns)
 		if ns.retryEv != nil {
 			m.k.Cancel(ns.retryEv)

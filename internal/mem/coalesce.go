@@ -2,10 +2,6 @@ package mem
 
 import "relief/internal/sim"
 
-// coalesceEnabled gates analytic transfer claims. Tests flip it to compare
-// the claim path against the chunk-wise reference implementation.
-var coalesceEnabled = true
-
 // claim serves a whole transfer analytically while it is the sole occupant
 // of every resource on its path. Store-and-forward chunk pipelining over
 // idle FIFO stages has a closed-form schedule, so instead of 2 events per
@@ -46,20 +42,50 @@ type claim struct {
 	watched  []int // stage indices attached to occ
 	ev       *sim.Event
 	released bool
+
+	// The claim is embedded in its pooled transfer and reused with it:
+	// the per-stage slices above are carved once from these arrays (or,
+	// for a transfer built for a longer path, from one spilled slice) and
+	// sized for the longest path the transfer serves, so only the first
+	// len(stages) entries are live; complete is bound once.
+	completeFn func()
+	stageBuf   [inlineStages]*Resource
+	timeBuf    [6 * inlineStages]sim.Time
+	watchedBuf [2]int
+}
+
+// init binds a pooled transfer's embedded claim to it, with per-stage
+// capacity for paths of up to stages stages.
+func (c *claim) init(t *transfer, stages int) {
+	c.k, c.t = t.k, t
+	c.completeFn = c.complete
+	stageArr, times := c.stageBuf[:], c.timeBuf[:]
+	if stages > inlineStages {
+		stageArr, times = make([]*Resource, stages), make([]sim.Time, 6*stages)
+	}
+	c.stages = stageArr[:0]
+	carve := func(i int) []sim.Time { return times[i*stages : (i+1)*stages : (i+1)*stages] }
+	c.tau, c.lam, c.sum, c.max = carve(0), carve(1), carve(2), carve(3)
+	c.lastStart, c.lastEnd = carve(4), carve(5)
+	c.watched = c.watchedBuf[:0]
 }
 
 // tryClaim installs an analytic claim for t if every stage on its path is
 // an idle, unclaimed, callback-free Resource and the path's occupancy
-// tracker is quiet. It returns false (and leaves no trace) when any
-// condition fails, in which case the caller proceeds chunk-wise.
+// tracker is quiet. It returns false (and leaves no trace outside t's own
+// embedded claim, which is not installed) when any condition fails, in
+// which case the caller proceeds chunk-wise.
+//
+//relief:hotpath
 func tryClaim(t *transfer) bool {
-	if !coalesceEnabled {
+	if !t.pool.claims {
 		return false
 	}
+	c := &t.cl
 	S := len(t.path)
-	stages := make([]*Resource, S)
+	stages := c.stages[:S]
 	var occ *Occupancy
-	var watched []int
+	watched := c.watched[:0]
 	for s, srv := range t.path {
 		r, ok := srv.(*Resource)
 		if !ok {
@@ -79,33 +105,26 @@ func tryClaim(t *transfer) bool {
 			} else if occ != r.occ {
 				return false
 			}
-			watched = append(watched, s)
+			if len(watched) == cap(watched) {
+				return false // more than two watched stages
+			}
+			watched = watched[:len(watched)+1]
+			watched[len(watched)-1] = s
 		}
 		stages[s] = r
 	}
 	if occ != nil && (occ.active > 0 || occ.cl != nil) {
 		return false
 	}
-	if len(watched) > 2 {
-		return false
-	}
 
-	c := &claim{
-		k:      t.k,
-		t:      t,
-		stages: stages,
-		t0:     t.k.Now(),
-		full:   DefaultChunkBytes,
-		last:   t.chunkSize(t.nChunks - 1),
-		C:      t.nChunks,
-		occ:    occ,
-	}
-	c.tau = make([]sim.Time, S)
-	c.lam = make([]sim.Time, S)
-	c.sum = make([]sim.Time, S)
-	c.max = make([]sim.Time, S)
-	c.lastStart = make([]sim.Time, S)
-	c.lastEnd = make([]sim.Time, S)
+	c.stages = stages
+	c.t0 = t.k.Now()
+	c.full = DefaultChunkBytes
+	c.last = t.chunkSize(t.nChunks - 1)
+	c.C = t.nChunks
+	c.occ = occ
+	c.ev = nil
+	c.released = false
 	for s, r := range stages {
 		c.tau[s] = r.ServiceTime(c.full)
 		c.lam[s] = r.ServiceTime(c.last)
@@ -162,7 +181,7 @@ func tryClaim(t *transfer) bool {
 		occ.cl = c
 		occ.Claims++
 	}
-	c.ev = c.k.At(c.lastEnd[S-1], c.complete)
+	c.ev = c.k.At(c.lastEnd[S-1], c.completeFn)
 	return true
 }
 
@@ -380,11 +399,14 @@ func (c *claim) unionBusyUpTo(now sim.Time) sim.Time {
 // every stage's counters, release the claim, and finish the transfer. The
 // stages were never marked busy, so all busy time lands in busyAcc here —
 // queries mid-claim saw the same totals via the stage views.
+//
+//relief:hotpath
 func (c *claim) complete() {
 	if c.released {
 		return
 	}
 	c.released = true
+	c.ev = nil
 	for s, r := range c.stages {
 		r.claim = nil
 		r.bytes += c.t.n
@@ -423,13 +445,20 @@ func (c *claim) materialize() {
 	if c.occ != nil {
 		c.occ.cl = nil
 	}
+	c.ev = nil
 	t := c.t
-	views := make([]stageView, len(c.stages))
+	var viewBuf [inlineStages]stageView
+	var inSvcBuf [inlineStages]int
+	views, inSvc := viewBuf[:], inSvcBuf[:0]
+	if len(c.stages) > inlineStages {
+		views, inSvc = make([]stageView, len(c.stages)), make([]int, 0, len(c.stages))
+	}
+	views = views[:len(c.stages)]
 	// If the final completion fired at this very tick before the current
-	// event, the reference already delivered the transfer's done callback;
-	// do the same once the counters below are settled.
+	// event, the reference already delivered the transfer's done callback
+	// (which hands t back to its free list); do the same once the counters
+	// below are settled, as the last thing materialize does.
 	finished := c.doneChunks(len(c.stages)-1, now) == c.C
-	inSvc := make([]int, 0, len(c.stages))
 	for s, r := range c.stages {
 		v := c.view(s, now)
 		views[s] = v

@@ -8,13 +8,11 @@ import (
 	"relief/internal/sim"
 )
 
-// withCoalescing runs f under the given coalescing mode and restores the
-// previous mode afterwards.
-func withCoalescing(enabled bool, f func()) {
-	prev := coalesceEnabled
-	coalesceEnabled = enabled
-	defer func() { coalesceEnabled = prev }()
-	f()
+// newKernel returns a fresh kernel with analytic claims switched on or off.
+func newKernel(claims bool) *sim.Kernel {
+	k := sim.NewKernel()
+	SetClaims(k, claims)
+	return k
 }
 
 // coalesceScenario builds one randomized two-transfer contention scenario
@@ -22,8 +20,8 @@ func withCoalescing(enabled bool, f func()) {
 // per-resource counters, union occupancy, and the counters sampled at the
 // moment the second stream arrives — into a canonical string. Claims on
 // and off must render identically.
-func coalesceScenario(t *testing.T, rng *rand.Rand) string {
-	k := sim.NewKernel()
+func coalesceScenario(t *testing.T, rng *rand.Rand, claims bool) string {
+	k := newKernel(claims)
 	bws := []float64{1 * GB, 6.4 * GB, 14.9 * GB}
 	shape := rng.Intn(4)
 	occ := NewOccupancy(k)
@@ -95,8 +93,8 @@ func coalesceScenario(t *testing.T, rng *rand.Rand) string {
 func TestCoalesceMatchesChunkwiseReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		var ref, opt string
-		withCoalescing(false, func() { ref = coalesceScenario(t, rand.New(rand.NewSource(seed))) })
-		withCoalescing(true, func() { opt = coalesceScenario(t, rand.New(rand.NewSource(seed))) })
+		ref = coalesceScenario(t, rand.New(rand.NewSource(seed)), false)
+		opt = coalesceScenario(t, rand.New(rand.NewSource(seed)), true)
 		if ref != opt {
 			t.Fatalf("seed %d: coalesced run diverged from chunk-wise reference\nreference:\n%s\ncoalesced:\n%s", seed, ref, opt)
 		}
@@ -108,8 +106,8 @@ func TestCoalesceMatchesChunkwiseReference(t *testing.T) {
 // exactly as the reference implementation: identical completion times, and
 // neither stream starved.
 func TestCoalesceFairnessTwoStreams(t *testing.T) {
-	run := func() (ends [2]sim.Time) {
-		k := sim.NewKernel()
+	run := func(claims bool) (ends [2]sim.Time) {
+		k := newKernel(claims)
 		r := NewResource(k, "dram", 1*GB)
 		const bytes = 32 * DefaultChunkBytes
 		StartTransfer(k, []Server{r}, bytes, 0, func(tr TransferResult) { ends[0] = tr.End })
@@ -120,9 +118,7 @@ func TestCoalesceFairnessTwoStreams(t *testing.T) {
 		k.Run()
 		return ends
 	}
-	var ref, opt [2]sim.Time
-	withCoalescing(false, func() { ref = run() })
-	withCoalescing(true, func() { opt = run() })
+	ref, opt := run(false), run(true)
 	if ref != opt {
 		t.Fatalf("completion times with coalescing %v differ from reference %v", opt, ref)
 	}
@@ -170,8 +166,8 @@ func TestCoalesceSoloTransferEventCount(t *testing.T) {
 // workloads stop at a horizon) must report the same busy accounting as the
 // chunk-wise reference at that instant.
 func TestCoalesceHorizonQueries(t *testing.T) {
-	run := func() string {
-		k := sim.NewKernel()
+	run := func(claims bool) string {
+		k := newKernel(claims)
 		a := NewResource(k, "dram", 1*GB)
 		b := NewResource(k, "bus", 2*GB)
 		b.SetOccupancy(occFor(k))
@@ -180,9 +176,7 @@ func TestCoalesceHorizonQueries(t *testing.T) {
 		k.RunUntil(limit)
 		return fmt.Sprintf("a=%d b=%d", int64(a.BusyTime()), int64(b.BusyTime()))
 	}
-	var ref, opt string
-	withCoalescing(false, func() { ref = run() })
-	withCoalescing(true, func() { opt = run() })
+	ref, opt := run(false), run(true)
 	if ref != opt {
 		t.Fatalf("horizon-stop busy accounting diverged: reference %s, coalesced %s", ref, opt)
 	}

@@ -26,10 +26,8 @@ func TestUnloadedTimeMatchesIdleTransfer(t *testing.T) {
 		{[]float64{6.4 * GB, 14.9 * GB}, 4096},
 	}
 	for _, coalesce := range []bool{true, false} {
-		saved := coalesceEnabled
-		coalesceEnabled = coalesce
 		for _, tc := range cases {
-			k := sim.NewKernel()
+			k := newKernel(coalesce)
 			path := make([]Server, len(tc.stages))
 			for i, bw := range tc.stages {
 				path[i] = NewResource(k, fmt.Sprintf("s%d", i), bw)
@@ -45,7 +43,6 @@ func TestUnloadedTimeMatchesIdleTransfer(t *testing.T) {
 					coalesce, tc.stages, tc.bytes, got, want)
 			}
 		}
-		coalesceEnabled = saved
 	}
 }
 
@@ -70,10 +67,8 @@ func TestUnloadedTimeRandomizedProperty(t *testing.T) {
 		}
 	}
 	for _, coalesce := range []bool{true, false} {
-		saved := coalesceEnabled
-		coalesceEnabled = coalesce
 		for trial := 0; trial < 200; trial++ {
-			k := sim.NewKernel()
+			k := newKernel(coalesce)
 			path := make([]Server, 1+rng.Intn(4))
 			bws := make([]float64, len(path))
 			for i := range path {
@@ -96,7 +91,6 @@ func TestUnloadedTimeRandomizedProperty(t *testing.T) {
 					trial, coalesce, bws, n, got, want)
 			}
 		}
-		coalesceEnabled = saved
 	}
 }
 

@@ -74,21 +74,27 @@ const interruptStride = 4096
 // Kernel is an event-driven simulation engine. The zero value is not usable;
 // call NewKernel.
 type Kernel struct {
-	now     Time
-	curBorn Time // born time of the event currently dispatching
-	seq     uint64
+	now        Time
+	curBorn    Time // born time of the event currently dispatching
+	seq        uint64
 	queue      []*Event // 4-ary min-heap ordered by (at, seq)
 	live       int      // queued events that are not cancelled
 	replayLive int      // live events that are replayable (AtReplay)
 	free       *Event   // recycled Event free list
-	fired   uint64
-	allocs  uint64 // Event allocations (free-list misses)
-	halted  bool
+	fired      uint64
+	allocs     uint64 // Event allocations (free-list misses)
+	halted     bool
 
 	// intr, if non-nil, is polled every interruptStride dispatches; a true
 	// return aborts the run (see SetInterrupt).
 	intr        func() bool
 	interrupted bool
+
+	// ext is an opaque per-simulation slot owned by the one package that
+	// layers its pooled state on the kernel (internal/mem's transfer free
+	// list and claim switch), so that state lives and dies with the
+	// simulation instead of in a package global shared across runs.
+	ext any
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -116,6 +122,14 @@ func (k *Kernel) Scheduled() uint64 { return k.seq }
 // often Schedule/At missed the free list. In steady state this stops
 // growing: the ratio Scheduled/EventAllocs is the pool's reuse factor.
 func (k *Kernel) EventAllocs() uint64 { return k.allocs }
+
+// Ext returns the kernel's opaque per-simulation slot (nil until SetExt).
+// The kernel never reads it.
+func (k *Kernel) Ext() any { return k.ext }
+
+// SetExt stores v in the kernel's opaque per-simulation slot. The slot has
+// one owner, internal/mem; no other package may set it.
+func (k *Kernel) SetExt(v any) { k.ext = v }
 
 // Schedule arranges for fn to run delay picoseconds from now. A negative
 // delay is treated as zero. The returned event may be cancelled.

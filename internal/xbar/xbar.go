@@ -43,6 +43,10 @@ type Interconnect struct {
 	dram  mem.Server
 	bus   *mem.Resource // Bus topology
 	ports []mem.Server  // Crossbar topology, one per accelerator instance
+	// paths holds every endpoint pair's path, built once by New: entry
+	// (src+1)*(n+1)+(dst+1) for n instances, EndpointDRAM mapping to 0.
+	paths [][]mem.Server
+	n     int
 
 	k *sim.Kernel
 	// union-occupancy tracking across interconnect resources (not DRAM)
@@ -104,7 +108,27 @@ func New(k *sim.Kernel, cfg Config) *Interconnect {
 	default:
 		panic("xbar: unknown topology")
 	}
+	ic.buildPaths(cfg.Instances)
 	return ic
+}
+
+// buildPaths precomputes the path of every (src, dst) endpoint pair,
+// carving all of them from one backing array.
+func (ic *Interconnect) buildPaths(instances int) {
+	if instances < 0 {
+		instances = 0
+	}
+	ic.n = instances
+	e := instances + 1
+	ic.paths = make([][]mem.Server, e*e)
+	backing := make([]mem.Server, 0, 2*e*e)
+	for src := EndpointDRAM; src < instances; src++ {
+		for dst := EndpointDRAM; dst < instances; dst++ {
+			start := len(backing)
+			backing = ic.route(backing, src, dst)
+			ic.paths[(src+1)*e+dst+1] = backing[start:len(backing):len(backing)]
+		}
+	}
 }
 
 // Topology returns the configured topology.
@@ -114,30 +138,42 @@ func (ic *Interconnect) Topology() Topology { return ic.topo }
 func (ic *Interconnect) DRAM() mem.Server { return ic.dram }
 
 // Path returns the ordered resources a transfer from src to dst traverses.
-// Endpoints are instance indices or EndpointDRAM.
+// Endpoints are instance indices or EndpointDRAM. The slice is shared by
+// every caller and must not be modified; Path allocates nothing.
+//
+//relief:hotpath
 func (ic *Interconnect) Path(src, dst int) []mem.Server {
+	if src < EndpointDRAM || src >= ic.n || dst < EndpointDRAM || dst >= ic.n {
+		panic("xbar: path endpoint out of range")
+	}
+	return ic.paths[(src+1)*(ic.n+1)+dst+1]
+}
+
+// route appends the path from src to dst, as the topology defines it, to
+// buf.
+func (ic *Interconnect) route(buf []mem.Server, src, dst int) []mem.Server {
 	switch ic.topo {
 	case Bus:
 		switch {
 		case src == EndpointDRAM && dst == EndpointDRAM:
-			return []mem.Server{ic.dram}
+			return append(buf, ic.dram)
 		case src == EndpointDRAM:
-			return []mem.Server{ic.dram, ic.bus}
+			return append(buf, ic.dram, ic.bus)
 		case dst == EndpointDRAM:
-			return []mem.Server{ic.bus, ic.dram}
+			return append(buf, ic.bus, ic.dram)
 		default:
-			return []mem.Server{ic.bus}
+			return append(buf, ic.bus)
 		}
 	case Crossbar:
 		switch {
 		case src == EndpointDRAM && dst == EndpointDRAM:
-			return []mem.Server{ic.dram}
+			return append(buf, ic.dram)
 		case src == EndpointDRAM:
-			return []mem.Server{ic.dram, ic.ports[dst]}
+			return append(buf, ic.dram, ic.ports[dst])
 		case dst == EndpointDRAM:
-			return []mem.Server{ic.ports[src], ic.dram}
+			return append(buf, ic.ports[src], ic.dram)
 		default:
-			return []mem.Server{ic.ports[src], ic.ports[dst]}
+			return append(buf, ic.ports[src], ic.ports[dst])
 		}
 	}
 	panic("xbar: unknown topology")

@@ -128,3 +128,45 @@ func TestOccupancyZeroAtStart(t *testing.T) {
 		t.Error("occupancy nonzero before any event")
 	}
 }
+
+// TestPathDoesNotAllocate: every endpoint pair's path is built once by New,
+// so Path is a table lookup that allocates nothing and hands every caller
+// the same read-only slice, which cannot be grown into a neighbour's.
+func TestPathDoesNotAllocate(t *testing.T) {
+	for _, topo := range []Topology{Bus, Crossbar} {
+		cfg := DefaultConfig(7)
+		cfg.Topology = topo
+		ic := New(sim.NewKernel(), cfg)
+		allocs := testing.AllocsPerRun(100, func() {
+			for src := EndpointDRAM; src < 7; src++ {
+				for dst := EndpointDRAM; dst < 7; dst++ {
+					_ = ic.Path(src, dst)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Path allocated %.1f times per sweep of all pairs, want 0", topo, allocs)
+		}
+		p, q := ic.Path(EndpointDRAM, 3), ic.Path(EndpointDRAM, 3)
+		if &p[0] != &q[0] {
+			t.Errorf("%v: Path returned two different slices for one pair", topo)
+		}
+		if cap(p) != len(p) {
+			t.Errorf("%v: path cap %d > len %d; an append would overwrite the next path", topo, cap(p), len(p))
+		}
+	}
+}
+
+func TestPathOutOfRangePanics(t *testing.T) {
+	ic := New(sim.NewKernel(), DefaultConfig(3))
+	for _, pair := range [][2]int{{3, 0}, {0, 3}, {-2, 0}, {EndpointDRAM, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Path(%d, %d) on 3 instances did not panic", pair[0], pair[1])
+				}
+			}()
+			ic.Path(pair[0], pair[1])
+		}()
+	}
+}

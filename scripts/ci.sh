@@ -25,12 +25,14 @@ echo "== relief-lint json smoke"
 go run ./cmd/relief-lint -json ./... | grep -qx '\[\]'
 
 echo "== relief-lint vettool smoke"
-# The binary must also speak cmd/go's unitchecker protocol. internal/mem
-# is included because its hot paths are provable only via cross-package
-# allocfree facts flowing from internal/sim through the vetx files, and
-# internal/serve carries the lockcheck guardedby annotations.
+# The binary must also speak cmd/go's unitchecker protocol. internal/mem,
+# internal/xbar and internal/core are included because their hot paths
+# (the pooled transfer engine, precomputed paths, RELIEF's feasibility
+# check) are provable only via cross-package allocfree facts flowing from
+# internal/sim, internal/mem and internal/sched through the vetx files,
+# and internal/serve carries the lockcheck guardedby annotations.
 go build -o "$tmp/relief-lint" ./cmd/relief-lint
-go vet -vettool="$tmp/relief-lint" ./internal/sim ./internal/metrics ./internal/mem ./internal/serve
+go vet -vettool="$tmp/relief-lint" ./internal/sim ./internal/metrics ./internal/mem ./internal/serve ./internal/xbar ./internal/core
 
 echo "== relief-lint sarif smoke"
 # A clean tree still emits a complete SARIF log: header plus the full
@@ -75,7 +77,7 @@ go test -race ./internal/serve/... ./internal/svctrace/... ./cmd/relief-sweep/..
 go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^relief/internal/svctrace' -e '^relief/cmd/relief-sweep')
 
 echo "== bench smoke"
-go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'BenchmarkFig4$|BenchmarkScenarioContinuous$' -benchtime=1x -benchmem .
 
 echo "== metrics smoke"
 go run ./cmd/relief-sim -mix C -policy RELIEF -metrics "$tmp/m" >/dev/null
